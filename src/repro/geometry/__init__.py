@@ -11,6 +11,7 @@ All higher layers (R*-tree, SS-tree, search algorithms) build on these.
 
 from repro.geometry.point import (
     Point,
+    coordinate_bound,
     euclidean,
     midpoint,
     squared_euclidean,
@@ -23,6 +24,7 @@ __all__ = [
     "Point",
     "Rect",
     "Sphere",
+    "coordinate_bound",
     "euclidean",
     "midpoint",
     "squared_euclidean",

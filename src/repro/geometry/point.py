@@ -8,6 +8,7 @@ create, which matters because k-NN search manipulates millions of them.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence, Tuple
 
 #: Type alias used throughout the library for an n-dimensional point.
@@ -32,6 +33,33 @@ def validate_point(point: Sequence[float], dims: int = 0) -> Point:
     if not all(math.isfinite(c) for c in coords):
         raise ValueError(f"point has non-finite coordinates: {coords}")
     return coords
+
+
+#: Factor kept between the largest area or squared distance and the float
+#: maximum, so that sums of up to this many of them — split keys, overlap
+#: enlargements summed over a node's children, distance accumulations —
+#: stay finite too.
+SUM_HEADROOM = 2.0 ** 32
+
+
+def coordinate_bound(dims: int) -> float:
+    """Largest coordinate magnitude an index over *dims*-d points accepts.
+
+    With every coordinate in ``[-B, B]`` a side length or a coordinate
+    difference is at most ``2B``, so an area (a product of *dims* sides)
+    is at most ``(2B) ** dims`` and a squared distance at most
+    ``dims * (2B) ** 2``.  ``B`` is the largest value for which both,
+    times :data:`SUM_HEADROOM`, stay below ``sys.float_info.max``.
+    Beyond it an area can overflow to ``inf``, where ``inf - inf`` turns
+    the R*-tree's ChooseSubtree keys into NaN, and a squared distance
+    can raise ``OverflowError``.  The bound is about ``5.1e148`` in 2-d,
+    ``2.3e59`` in 5-d and ``2.2e18`` in 16-d.
+    """
+    if dims < 1:
+        raise ValueError(f"dimensionality must be positive, got {dims}")
+    # The extra halving absorbs the rounding of the roots.
+    limit = sys.float_info.max / SUM_HEADROOM / 2.0
+    return min(limit ** (1.0 / dims), math.sqrt(limit / dims)) / 2.0
 
 
 def squared_euclidean(a: Sequence[float], b: Sequence[float]) -> float:

@@ -8,6 +8,8 @@ class is the geometric workhorse of the library.
 from __future__ import annotations
 
 import math
+from math import prod
+from operator import sub
 from typing import Iterable, Sequence, Tuple
 
 from repro.geometry.point import Point, validate_point
@@ -19,9 +21,13 @@ class Rect:
     ``low`` and ``high`` are the bottom-left and top-right corners; for
     every axis ``low[i] <= high[i]`` holds.  Degenerate boxes (points) are
     allowed — they are how leaf entries for point data are stored.
+
+    :meth:`area` is computed on first use and then kept: ChooseSubtree
+    asks every child MBR for its area on every descent, and an MBR object
+    is replaced (never mutated) when its node grows.
     """
 
-    __slots__ = ("low", "high")
+    __slots__ = ("low", "high", "_area")
 
     def __init__(self, low: Sequence[float], high: Sequence[float]):
         low_t = tuple(float(c) for c in low)
@@ -103,14 +109,17 @@ class Rect:
 
     def area(self) -> float:
         """Hyper-volume (what the R-tree literature calls *area*)."""
-        result = 1.0
-        for lo, hi in zip(self.low, self.high):
-            result *= hi - lo
+        try:
+            return self._area
+        except AttributeError:
+            pass
+        result = box_area(self.low, self.high)
+        object.__setattr__(self, "_area", result)
         return result
 
     def margin(self) -> float:
         """Sum of side lengths — the R*-tree split criterion's *margin*."""
-        return sum(hi - lo for lo, hi in zip(self.low, self.high))
+        return box_margin(self.low, self.high)
 
     # -- relations ---------------------------------------------------------
 
@@ -130,13 +139,7 @@ class Rect:
 
     def intersection_area(self, other: "Rect") -> float:
         """Hyper-volume of the overlap region (0.0 if disjoint)."""
-        result = 1.0
-        for lo, hi, o_lo, o_hi in zip(self.low, self.high, other.low, other.high):
-            side = min(hi, o_hi) - max(lo, o_lo)
-            if side <= 0.0:
-                return 0.0
-            result *= side
-        return result
+        return box_overlap(self.low, self.high, other.low, other.high)
 
     def contains_point(self, point: Sequence[float]) -> bool:
         """True if *point* lies inside or on the boundary."""
@@ -159,11 +162,9 @@ class Rect:
         rectangle — this sits on the insertion hot path.
         """
         union_area = 1.0
-        area = 1.0
         for lo, hi, o_lo, o_hi in zip(self.low, self.high, other.low, other.high):
             union_area *= (hi if hi > o_hi else o_hi) - (lo if lo < o_lo else o_lo)
-            area *= hi - lo
-        return union_area - area
+        return union_area - self.area()
 
     # -- dunder ------------------------------------------------------------
 
@@ -179,3 +180,35 @@ class Rect:
 
     def __repr__(self) -> str:
         return f"Rect(low={self.low}, high={self.high})"
+
+
+# -- measures over raw corners ----------------------------------------------
+#
+# The one implementation of each measure, shared by the Rect methods and by
+# code that measures boxes it holds only as corner tuples (the R* split's
+# prefix/suffix sweeps), so both get the very same floats.
+
+Corner = Tuple[float, ...]
+
+
+def box_area(low: Corner, high: Corner) -> float:
+    """Hyper-volume of the box: side lengths multiplied in axis order."""
+    return prod(map(sub, high, low))
+
+
+def box_margin(low: Corner, high: Corner) -> float:
+    """Sum of the box's side lengths, in axis order."""
+    return sum(map(sub, high, low))
+
+
+def box_overlap(
+    low1: Corner, high1: Corner, low2: Corner, high2: Corner
+) -> float:
+    """Hyper-volume shared by two boxes (0.0 if they are disjoint or touch)."""
+    result = 1.0
+    for lo, hi, o_lo, o_hi in zip(low1, high1, low2, high2):
+        side = min(hi, o_hi) - max(lo, o_lo)
+        if side <= 0.0:
+            return 0.0
+        result *= side
+    return result

@@ -10,6 +10,7 @@ computation.
 
 from __future__ import annotations
 
+from operator import lt
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -105,15 +106,25 @@ class Node:
         O(height · fan-out · dims) — and exact for pure additions: the
         MBR can only grow and the count only increases.  Callers removing
         or replacing entries must use :meth:`refresh_path` instead.
+
+        An MBR that strictly contains *rect* on every axis is kept as it
+        is: :meth:`Rect.union` would rebuild the very same corners.  (On
+        a touching face the union takes *rect*'s coordinate, which may
+        differ in the sign of a zero, so that case still goes through it.)
         """
         node: Optional[Node] = self
         while node is not None:
-            node.mbr = rect if node.mbr is None else node.mbr.union(rect)
+            mbr = node.mbr
+            if mbr is None or not (
+                all(map(lt, mbr.low, rect.low))
+                and all(map(lt, rect.high, mbr.high))
+            ):
+                node.mbr = rect if mbr is None else mbr.union(rect)
+                # This node's MBR grew: the parent's bounds matrices
+                # (which hold it as a row) are stale.
+                if node.parent is not None:
+                    node.parent._bounds = None
             node.object_count += added_objects
-            # This node's MBR grew: the parent's bounds matrices (which
-            # hold it as a row) are stale.
-            if node.parent is not None:
-                node.parent._bounds = None
             node = node.parent
 
     def add(self, entry: Union[LeafEntry, "Node"]) -> None:

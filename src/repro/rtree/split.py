@@ -13,13 +13,15 @@ bounding rectangles).
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
 
-from repro.geometry.rect import Rect
+from repro.geometry.rect import Rect, box_area, box_margin, box_overlap
 
 E = TypeVar("E")
 RectOf = Callable[[E], Rect]
 Groups = Tuple[List[E], List[E]]
+#: The ``(low, high)`` corner tuples of a box.
+Corners = Tuple[Tuple[float, ...], Tuple[float, ...]]
 
 
 class SplitPolicy:
@@ -44,10 +46,6 @@ class SplitPolicy:
             )
 
 
-def _bounding(entries: Sequence[E], rect_of: RectOf) -> Rect:
-    return Rect.union_of(rect_of(e) for e in entries)
-
-
 class RStarSplit(SplitPolicy):
     """The R*-tree topological split (Beckmann et al. 1990, §4.2).
 
@@ -55,6 +53,14 @@ class RStarSplit(SplitPolicy):
     smallest total margin; ChooseSplitIndex then picks the distribution
     with the least overlap between the two groups (ties broken by combined
     area).
+
+    Every candidate group is a prefix or a suffix of one of the axis
+    sorts, so one forward and one backward sweep of running min/max
+    corners per sort bound all of them.  Taking the minimum of the same
+    coordinates in the same scan order is exact, so these boxes are bit
+    for bit the ones :meth:`Rect.union_of` builds for each group, and the
+    functions behind :meth:`Rect.margin`, :meth:`Rect.area` and
+    :meth:`Rect.intersection_area` measure them.
     """
 
     name = "rstar"
@@ -62,48 +68,100 @@ class RStarSplit(SplitPolicy):
     def split(self, entries: Sequence[E], min_fill: int, rect_of: RectOf) -> Groups:
         self._check(entries, min_fill)
         entries = list(entries)
-        dims = rect_of(entries[0]).dims
+        rects = [rect_of(e) for e in entries]
+        cuts = range(min_fill, len(entries) - min_fill + 1)
 
-        best_axis = -1
-        best_margin_sum = float("inf")
-        for axis in range(dims):
+        best_sweeps = best_margin_sum = None
+        for axis in range(rects[0].dims):
+            sweeps = [
+                _sweep(rects, order, min_fill)
+                for order in _axis_orders(rects, axis)
+            ]
             margin_sum = 0.0
-            for sorted_entries in self._axis_sorts(entries, axis, rect_of):
-                for group1, group2 in self._distributions(sorted_entries, min_fill):
+            for _, prefix, suffix in sweeps:
+                for split_at in cuts:
                     margin_sum += (
-                        _bounding(group1, rect_of).margin()
-                        + _bounding(group2, rect_of).margin()
+                        box_margin(*prefix[split_at])
+                        + box_margin(*suffix[split_at])
                     )
-            if margin_sum < best_margin_sum:
+            if best_sweeps is None or margin_sum < best_margin_sum:
                 best_margin_sum = margin_sum
-                best_axis = axis
+                best_sweeps = sweeps
 
-        best_groups: Groups = ([], [])
-        best_key = (float("inf"), float("inf"))
-        for sorted_entries in self._axis_sorts(entries, best_axis, rect_of):
-            for group1, group2 in self._distributions(sorted_entries, min_fill):
-                bb1 = _bounding(group1, rect_of)
-                bb2 = _bounding(group2, rect_of)
-                key = (bb1.intersection_area(bb2), bb1.area() + bb2.area())
-                if key < best_key:
+        best_key = None
+        for order, prefix, suffix in best_sweeps:
+            for split_at in cuts:
+                low1, high1 = prefix[split_at]
+                low2, high2 = suffix[split_at]
+                key = (
+                    box_overlap(low1, high1, low2, high2),
+                    box_area(low1, high1) + box_area(low2, high2),
+                )
+                if best_key is None or key < best_key:
                     best_key = key
-                    best_groups = (list(group1), list(group2))
-        return best_groups
+                    best_order, best_split_at = order, split_at
+        return (
+            [entries[i] for i in best_order[:best_split_at]],
+            [entries[i] for i in best_order[best_split_at:]],
+        )
 
-    @staticmethod
-    def _axis_sorts(entries: List[E], axis: int, rect_of: RectOf):
-        """The two sorts considered per axis: by low edge and by high edge."""
-        yield sorted(entries, key=lambda e: (rect_of(e).low[axis],
-                                             rect_of(e).high[axis]))
-        yield sorted(entries, key=lambda e: (rect_of(e).high[axis],
-                                             rect_of(e).low[axis]))
 
-    @staticmethod
-    def _distributions(sorted_entries: List[E], min_fill: int):
-        """All (group1, group2) prefixes/suffixes respecting *min_fill*."""
-        total = len(sorted_entries)
-        for split_at in range(min_fill, total - min_fill + 1):
-            yield sorted_entries[:split_at], sorted_entries[split_at:]
+def _axis_orders(rects: List[Rect], axis: int) -> Tuple[List[int], List[int]]:
+    """The two sorts considered per axis: by low edge and by high edge.
+
+    Sorting positions (stably) orders equal keys exactly as sorting the
+    entries themselves would.
+    """
+    lows = [r.low[axis] for r in rects]
+    highs = [r.high[axis] for r in rects]
+    positions = range(len(rects))
+    return (
+        sorted(positions, key=lambda i: (lows[i], highs[i])),
+        sorted(positions, key=lambda i: (highs[i], lows[i])),
+    )
+
+
+def _sweep(
+    rects: List[Rect], order: List[int], min_fill: int
+) -> Tuple[List[int], Dict[int, Corners], Dict[int, Corners]]:
+    """``(order, prefix, suffix)`` for the cut positions of one sort.
+
+    ``prefix[k]`` bounds ``order[:k]`` and ``suffix[k]`` bounds
+    ``order[k:]``, for every ``k`` in ``[min_fill, len(order) - min_fill]``.
+    ``min(a, b, ...)`` keeps the first of equal values, as the forward
+    scan of :meth:`Rect.union_of` does, so the shortest prefix and suffix
+    are folded in entry order; the prefix then grows forward with the
+    running box first, and the suffix grows backward with the new,
+    earlier rectangle first — on ties both keep the value the forward
+    scan would have kept.
+    """
+    last_cut = len(order) - min_fill
+    low, high = _bound([rects[i] for i in order[:min_fill]])
+    prefix = {min_fill: (low, high)}
+    for k in range(min_fill, last_cut):
+        r = rects[order[k]]
+        low = tuple(map(min, low, r.low))
+        high = tuple(map(max, high, r.high))
+        prefix[k + 1] = (low, high)
+
+    low, high = _bound([rects[i] for i in order[last_cut:]])
+    suffix = {last_cut: (low, high)}
+    for k in range(last_cut - 1, min_fill - 1, -1):
+        r = rects[order[k]]
+        low = tuple(map(min, r.low, low))
+        high = tuple(map(max, r.high, high))
+        suffix[k] = (low, high)
+    return order, prefix, suffix
+
+
+def _bound(rects: List[Rect]) -> Corners:
+    """The corners of ``Rect.union_of(rects)``, bit for bit."""
+    if len(rects) == 1:
+        return rects[0].low, rects[0].high
+    return (
+        tuple(map(min, *[r.low for r in rects])),
+        tuple(map(max, *[r.high for r in rects])),
+    )
 
 
 class QuadraticSplit(SplitPolicy):

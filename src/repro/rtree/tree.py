@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.geometry.point import Point, validate_point
+from repro.geometry.point import Point, coordinate_bound, validate_point
 from repro.geometry.rect import Rect
 from repro.rtree.capacity import capacity_for_page
 from repro.rtree.node import LeafEntry, Node
@@ -88,6 +88,8 @@ class RStarTree:
             raise ValueError(
                 f"reinsert_fraction must be in (0, 1), got {reinsert_fraction}"
             )
+        #: Largest coordinate magnitude :meth:`insert` accepts.
+        self.coordinate_bound = coordinate_bound(dims)
         self.split_policy = split_policy if split_policy is not None else RStarSplit()
         self.reinsert_fraction = reinsert_fraction
         self.on_split = on_split
@@ -157,8 +159,20 @@ class RStarTree:
     # -- insertion ---------------------------------------------------------
 
     def insert(self, point: Sequence[float], oid: int) -> None:
-        """Insert one data point with object identifier *oid*."""
-        entry = LeafEntry(validate_point(point, self.dims), oid)
+        """Insert one data point with object identifier *oid*.
+
+        :raises ValueError: if the point has the wrong dimensionality, a
+            non-finite coordinate, or a coordinate beyond
+            :func:`~repro.geometry.point.coordinate_bound`.
+        """
+        coords = validate_point(point, self.dims)
+        if max(map(abs, coords)) > self.coordinate_bound:
+            raise ValueError(
+                f"point coordinates exceed the supported range "
+                f"±{self.coordinate_bound:.6g} for {self.dims}-d points: "
+                f"{coords}"
+            )
+        entry = LeafEntry(coords, oid)
         self._reinserted_levels = set()
         self._insert(entry, holder_level=0)
         self.size += 1
@@ -210,62 +224,71 @@ class RStarTree:
 
         Overlap enlargement is O(fan-out^2); per the R* paper we restrict
         the quadratic part to the 32 children with least area enlargement.
-        The inner loop is written with inline coordinate arithmetic and an
-        early zero-overlap reject — it dominates tree construction time.
+        Each child's enlargement and area are computed once and serve both
+        that cut and the final key; the position in the sort key keeps
+        ties in entry order.  The inner loop is written with inline
+        coordinate arithmetic and an early zero-overlap reject.
+
+        Candidates come in ascending (enlargement, area) order and an
+        overlap enlargement is never negative, so once the best candidate
+        has zero overlap enlargement no later one can beat it.  A child
+        that already covers *rect* has zero overlap enlargement without
+        scanning its siblings: its enlarged corners equal its own.
         """
         children: List[Node] = node.entries
-        candidates = sorted(
-            children, key=lambda c: (c.mbr.enlargement(rect), c.mbr.area())
-        )[:32]
+        scored = sorted(
+            (child.mbr.enlargement(rect), child.mbr.area(), position)
+            for position, child in enumerate(children)
+        )
         dims = range(rect.dims)
+        r_lo = rect.low
+        r_hi = rect.high
         bounds = [(other.mbr.low, other.mbr.high, other) for other in children]
 
         best = None
         best_key = (float("inf"), float("inf"), float("inf"))
-        for child in candidates:
+        for enlargement, area, position in scored[:32]:
+            if best_key[0] == 0.0:
+                break
+            child = children[position]
             c_lo = child.mbr.low
             c_hi = child.mbr.high
-            r_lo = rect.low
-            r_hi = rect.high
-            e_lo = tuple(
-                a if a < b else b for a, b in zip(c_lo, r_lo)
-            )
-            e_hi = tuple(
-                a if a > b else b for a, b in zip(c_hi, r_hi)
-            )
+            e_lo = tuple(a if a < b else b for a, b in zip(c_lo, r_lo))
+            e_hi = tuple(a if a > b else b for a, b in zip(c_hi, r_hi))
             delta = 0.0
-            for o_lo, o_hi, other in bounds:
-                if other is child:
-                    continue
-                # Overlap of the enlarged child with the sibling; the
-                # child is contained in its enlargement, so zero here
-                # implies zero overlap before the enlargement too.
-                after = 1.0
-                for i in dims:
-                    side = (e_hi[i] if e_hi[i] < o_hi[i] else o_hi[i]) - (
-                        e_lo[i] if e_lo[i] > o_lo[i] else o_lo[i]
-                    )
-                    if side <= 0.0:
-                        after = 0.0
-                        break
-                    after *= side
-                if after == 0.0:
-                    continue
-                before = 1.0
-                for i in dims:
-                    side = (c_hi[i] if c_hi[i] < o_hi[i] else o_hi[i]) - (
-                        c_lo[i] if c_lo[i] > o_lo[i] else o_lo[i]
-                    )
-                    if side <= 0.0:
-                        before = 0.0
-                        break
-                    before *= side
-                delta += after - before
+            if e_lo != c_lo or e_hi != c_hi:
+                for o_lo, o_hi, other in bounds:
+                    if other is child:
+                        continue
+                    # Overlap of the enlarged child with the sibling; the
+                    # child is contained in its enlargement, so zero here
+                    # implies zero overlap before the enlargement too.
+                    after = 1.0
+                    for i in dims:
+                        side = (e_hi[i] if e_hi[i] < o_hi[i] else o_hi[i]) - (
+                            e_lo[i] if e_lo[i] > o_lo[i] else o_lo[i]
+                        )
+                        if side <= 0.0:
+                            after = 0.0
+                            break
+                        after *= side
+                    if after == 0.0:
+                        continue
+                    before = 1.0
+                    for i in dims:
+                        side = (c_hi[i] if c_hi[i] < o_hi[i] else o_hi[i]) - (
+                            c_lo[i] if c_lo[i] > o_lo[i] else o_lo[i]
+                        )
+                        if side <= 0.0:
+                            before = 0.0
+                            break
+                        before *= side
+                    delta += after - before
+                    if delta > best_key[0]:
+                        break  # cannot beat the current best any more
                 if delta > best_key[0]:
-                    break  # cannot beat the current best any more
-            if delta > best_key[0]:
-                continue
-            key = (delta, child.mbr.enlargement(rect), child.mbr.area())
+                    continue
+            key = (delta, enlargement, area)
             if key < best_key:
                 best_key = key
                 best = child
