@@ -117,11 +117,6 @@ _BATCH_SCALAR = {
     "dmm": region_minmax_distance_sq,
     "dmax": region_maximum_distance_sq,
 }
-_BATCH_VECTOR = {
-    "dmin": kernels.batch_minimum_distance_sq,
-    "dmm": kernels.batch_minmax_distance_sq,
-    "dmax": kernels.batch_maximum_distance_sq,
-}
 
 
 def batch_region_distances(
@@ -158,8 +153,10 @@ def batch_region_distances(
             bounds = (lows, highs)
         if bounds is not None:
             return [
-                _BATCH_VECTOR[m](point, bounds[0], bounds[1]).tolist()
-                for m in metrics
+                values.tolist()
+                for values in kernels.batch_node_distances_sq(
+                    point, bounds[0], bounds[1], metrics
+                )
             ]
     results = []
     for m in metrics:

@@ -12,6 +12,8 @@ import heapq
 import math
 from typing import List, NamedTuple, Sequence, Tuple
 
+import numpy as np
+
 from repro.geometry.point import Point, squared_euclidean
 
 
@@ -92,27 +94,42 @@ class NeighborList:
         for point, oid in items:
             self.offer(point, oid)
 
+    def admissible(self, dist_sq: np.ndarray) -> np.ndarray:
+        """Ascending indices of the rows of *dist_sq* worth offering.
+
+        Every row while the list is not full; after that, only rows no
+        farther than the current k-th distance.  Offering the survivors
+        in row order admits exactly what offering every row would: the
+        k-th distance only shrinks as they enter, so a dropped row would
+        have been rejected anyway.  ``<=`` keeps exact ties, which the
+        oid tie-break may still admit.
+        """
+        if not self.full:
+            return np.arange(len(dist_sq))
+        return np.flatnonzero(dist_sq <= self.kth_distance_sq())
+
     def offer_block(self, dist_sq, oids, points) -> None:
         """Consider a whole leaf's objects from packed arrays.
 
-        :param dist_sq: squared distances (array or list) aligned with
-            *oids*, as produced by the batch point kernel.
+        :param dist_sq: squared distances aligned with *oids*, as
+            produced by the batch point kernel.
         :param oids: the leaf's object ids (array or list).
         :param points: ``(n, dims)`` point matrix, row-aligned.
 
-        Admits exactly the objects :meth:`offer_computed` would, but the
-        point tuple — the expensive part — is materialized only for
-        candidates that actually enter the heap.  That is sound because
-        heap items compare on ``(-dist_sq, -oid)`` first and oids are
-        globally unique, so the point element never decides an ordering.
+        Admits exactly the objects :meth:`offer_computed` would, but only
+        the :meth:`admissible` rows are visited, and the point tuple —
+        the expensive part — is materialized only for candidates that
+        actually enter the heap.  That is sound because heap items
+        compare on ``(-dist_sq, -oid)`` first and oids are globally
+        unique, so the point element never decides an ordering.
         """
         heap = self._heap
         k = self.k
-        dist_list = (
-            dist_sq.tolist() if hasattr(dist_sq, "tolist") else list(dist_sq)
-        )
-        oid_list = oids.tolist() if hasattr(oids, "tolist") else list(oids)
-        for i, (dist, oid) in enumerate(zip(dist_list, oid_list)):
+        dist_sq = np.asarray(dist_sq, dtype=np.float64)
+        rows = self.admissible(dist_sq)
+        oid_list = np.asarray(oids)[rows].tolist()
+        dist_list = dist_sq[rows].tolist()
+        for i, dist, oid in zip(rows.tolist(), dist_list, oid_list):
             if len(heap) < k:
                 heapq.heappush(
                     heap, (-dist, -oid, tuple(points[i].tolist()))

@@ -31,13 +31,6 @@ from repro.core.regions import batch_region_distances
 from repro.core.results import NeighborList
 from repro.perf import kernels
 
-#: metric name -> batch kernel, for the pre-flattened bounds fast path.
-_VECTOR_KERNELS = {
-    "dmin": kernels.batch_minimum_distance_sq,
-    "dmm": kernels.batch_minmax_distance_sq,
-    "dmax": kernels.batch_maximum_distance_sq,
-}
-
 
 class ChildScan(NamedTuple):
     """Per-entry distances for one internal node's branches.
@@ -90,12 +83,13 @@ def scan_children(
     vectorized = kernels.vectorization_enabled()
     bounds = _node_bounds(node) if vectorized else None
     if bounds is not None:
-        # Pre-flattened corner matrices: call the kernels directly,
-        # skipping both the per-scan region-list build and the shape
-        # dispatch of batch_region_distances.
-        lows, highs = bounds
+        # Pre-flattened corner matrices: one fused kernel call, skipping
+        # the per-scan region-list build of batch_region_distances.
         results = [
-            _VECTOR_KERNELS[m](query, lows, highs).tolist() for m in metrics
+            values.tolist()
+            for values in kernels.batch_node_distances_sq(
+                query, bounds[0], bounds[1], metrics
+            )
         ]
     else:
         results = batch_region_distances(
@@ -149,11 +143,12 @@ def offer_leaf(
 
     The vectorized path computes all squared distances with one kernel
     call over the leaf's cached point matrix (the low corners of its
-    degenerate MBRs).  Flat leaves then feed the packed oid/point
-    slices straight to the neighbor list's block offer; pointer leaves
-    fall back to the per-entry offer, and the scalar reference path
-    remains for vectorization-off runs.  All three admit exactly the
-    same objects.
+    degenerate MBRs), then offers only the rows that
+    :meth:`~repro.core.results.NeighborList.admissible` keeps.  Flat
+    leaves feed the packed oid/point slices to the neighbor list's block
+    offer; pointer leaves offer each surviving entry with its own point
+    tuple.  The scalar reference path remains for vectorization-off
+    runs.  All three admit exactly the same objects.
     """
     if not node.entries:
         return
@@ -163,10 +158,12 @@ def offer_leaf(
             distances = kernels.batch_point_distance_sq(query, bounds[0])
             leaf_data = getattr(node, "leaf_data", None)
             if leaf_data is not None:
-                oids, points = leaf_data
-                neighbors.offer_block(distances, oids, points)
+                neighbors.offer_block(distances, *leaf_data)
                 return
-            for entry, dist_sq in zip(node.entries, distances.tolist()):
+            rows = neighbors.admissible(distances)
+            entries = node.entries
+            for i, dist_sq in zip(rows.tolist(), distances[rows].tolist()):
+                entry = entries[i]
                 neighbors.offer_computed(dist_sq, entry.point, entry.oid)
             return
     entries = leaf_points(node)

@@ -19,7 +19,12 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.geometry.point import Point, squared_euclidean, validate_point
+from repro.geometry.point import (
+    Point,
+    coordinate_bound,
+    squared_euclidean,
+    validate_point,
+)
 from repro.geometry.rect import Rect
 from repro.geometry.sphere import Sphere
 from repro.rtree.node import LeafEntry
@@ -183,6 +188,8 @@ class SRTree:
             raise ValueError(f"max_entries must be at least 2, got {max_entries}")
         self.dims = dims
         self.max_entries = max_entries
+        #: Largest coordinate magnitude :meth:`insert` accepts.
+        self.coordinate_bound = coordinate_bound(dims)
         if min_entries is not None:
             self.min_entries = min_entries
         else:
@@ -236,8 +243,15 @@ class SRTree:
                 stack.extend(node.entries)
 
     def insert(self, point: Sequence[float], oid: int) -> None:
-        """Insert one data point."""
-        entry = LeafEntry(validate_point(point, self.dims), oid)
+        """Insert one data point.
+
+        :raises ValueError: like :meth:`repro.rtree.RStarTree.insert`, for
+            a point beyond :func:`~repro.geometry.point.coordinate_bound`
+            among others, before the tree changes.
+        """
+        entry = LeafEntry(
+            validate_point(point, self.dims, self.coordinate_bound), oid
+        )
         leaf = self._choose_leaf(entry.point)
         leaf.add(entry)
         leaf.refresh_path()

@@ -9,19 +9,23 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 #: Type alias used throughout the library for an n-dimensional point.
 Point = Tuple[float, ...]
 
 
-def validate_point(point: Sequence[float], dims: int = 0) -> Point:
+def validate_point(
+    point: Sequence[float], dims: int = 0, bound: Optional[float] = None
+) -> Point:
     """Return *point* as a tuple of floats, checking basic sanity.
 
     :param point: any sequence of numbers.
     :param dims: if non-zero, the required dimensionality.
+    :param bound: if given, the largest coordinate magnitude accepted —
+        the indexes pass :func:`coordinate_bound` here.
     :raises ValueError: if the point is empty, has the wrong dimensionality,
-        or contains non-finite coordinates.
+        contains non-finite coordinates or exceeds *bound*.
     """
     coords = tuple(float(c) for c in point)
     if not coords:
@@ -32,6 +36,11 @@ def validate_point(point: Sequence[float], dims: int = 0) -> Point:
         )
     if not all(math.isfinite(c) for c in coords):
         raise ValueError(f"point has non-finite coordinates: {coords}")
+    if bound is not None and max(map(abs, coords)) > bound:
+        raise ValueError(
+            f"point coordinates exceed the supported range "
+            f"±{bound:.6g} for {len(coords)}-d points: {coords}"
+        )
     return coords
 
 

@@ -8,11 +8,11 @@ node at once, over the flat low/high matrices cached per node by
 :meth:`repro.rtree.node.Node.entry_bounds`.
 
 The kernels are bit-for-bit equivalent to the scalar reference in
-:mod:`repro.core.distances`: they accumulate per *axis* (the small
-dimension) while vectorizing over *entries* (the large dimension), so
-every floating-point operation happens in the same order as the scalar
-loops.  The differential suite in ``tests/perf`` asserts exact float
-equality on every covered configuration.
+:mod:`repro.core.distances`: they work on whole ``(n, dims)`` matrices
+but add each row's per-axis terms left to right (``add.accumulate``),
+so every floating-point operation happens in the same order as the
+scalar loops.  The differential suite in ``tests/perf`` asserts exact
+float equality on every covered configuration.
 
 Vectorization defaults **on** and can be disabled globally — the scalar
 path stays behind :func:`use_vectorized` as the reference oracle:
@@ -30,6 +30,7 @@ from repro.perf.kernels import (
     batch_maximum_distance_sq,
     batch_minimum_distance_sq,
     batch_minmax_distance_sq,
+    batch_node_distances_sq,
     batch_point_distance_sq,
     instrument_kernels,
     record_kernel_use,
@@ -42,6 +43,7 @@ __all__ = [
     "batch_maximum_distance_sq",
     "batch_minimum_distance_sq",
     "batch_minmax_distance_sq",
+    "batch_node_distances_sq",
     "batch_point_distance_sq",
     "instrument_kernels",
     "record_kernel_use",

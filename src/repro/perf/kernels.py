@@ -2,19 +2,21 @@
 
 Each kernel takes a query point and the flat ``(n, dims)`` low/high
 corner matrices of *n* MBRs (for point data the two matrices coincide)
-and returns the *n* squared distances as a float64 array.
+and returns the *n* squared distances as a float64 array.  A node is
+scored with a fixed number of whole-matrix numpy calls whatever its
+dimensionality, since at the paper's page sizes (tens of entries per
+node) per-call overhead is the cost.
 
 **Exactness contract.**  The kernels must return bit-identical results
 to the scalar reference in :mod:`repro.core.distances` — the search
 algorithms run with either path and the differential tests compare them
 with ``==``, not with a tolerance.  IEEE-754 addition is not
-associative, so the kernels may not use :func:`numpy.sum` over the axis
-dimension (numpy's pairwise summation reassociates terms).  Instead
-they loop over the *dims* axis — small, 2–30 — accumulating exactly
-like the scalar loops do, while vectorizing over the *entries* axis
-where the real work is.  Per-element operations (``+`` ``-`` ``*``
-``abs`` ``min`` ``max``) are correctly rounded in both numpy and
-CPython, so equal operand order implies equal results.
+associative, so the kernels may not use :func:`numpy.sum` or
+``add.reduce`` over the axis dimension (both may reassociate terms).
+Per-axis sums use ``add.accumulate`` instead, which adds left to right
+exactly like the scalar loops.  Per-element operations (``+`` ``-``
+``*`` ``/`` ``min`` ``max``) are correctly rounded in both numpy and
+CPython, so equal operands in equal order imply equal results.
 
 The module also owns two pieces of global plumbing:
 
@@ -33,7 +35,7 @@ every layer (geometry, rtree, core) may call into it freely.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +45,7 @@ __all__ = [
     "batch_maximum_distance_sq",
     "batch_minimum_distance_sq",
     "batch_minmax_distance_sq",
+    "batch_node_distances_sq",
     "batch_point_distance_sq",
     "instrument_kernels",
     "record_kernel_use",
@@ -142,70 +145,67 @@ def _as_matrices(
     return query, low_m, high_m
 
 
-def batch_minimum_distance_sq(point, lows, highs) -> np.ndarray:
-    """Squared ``Dmin`` from *point* to each of *n* MBRs, all at once.
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Sum each row of *terms* left to right, as the scalar loops do.
 
-    Exact batch twin of
-    :func:`repro.core.distances.minimum_distance_sq`.
+    ``add.accumulate`` computes every prefix sum from the one before it,
+    so its last column is ``((t0 + t1) + t2) + ...`` exactly.
+    ``numpy.sum`` / ``add.reduce`` may reassociate instead.
+    """
+    return np.add.accumulate(terms, axis=1)[:, -1]
+
+
+def batch_node_distances_sq(
+    point, lows, highs, metrics: Sequence[str]
+) -> List[np.ndarray]:
+    """Squared ``Dmin`` / ``Dmm`` / ``Dmax`` from *point* to *n* MBRs at once.
+
+    Returns one float64 array per name in *metrics* (from ``dmin`` /
+    ``dmm`` / ``dmax``), in that order.  All of them derive from
+    ``below = lows - point`` and ``above = point - highs``, whose squares
+    are the scalar code's ``(p - lo)²`` and ``(p - hi)²``; the identities
+    that make each metric bit-equal to :mod:`repro.core.distances` are in
+    ``docs/performance.md``.
     """
     query, low_m, high_m = _as_matrices(point, lows, highs)
-    total = np.zeros(low_m.shape[0], dtype=np.float64)
-    for axis in range(low_m.shape[1]):
-        p = query[axis]
-        lo = low_m[:, axis]
-        hi = high_m[:, axis]
-        gap = np.where(p < lo, lo - p, np.where(p > hi, p - hi, 0.0))
-        total += gap * gap
-    record_kernel_use("dmin", "vector", low_m.shape[0])
-    return total
+    below = low_m - query
+    above = query - high_m
+    if "dmm" in metrics or "dmax" in metrics:
+        below_sq = below * below
+        above_sq = above * above
+    results = []
+    for metric in metrics:
+        if metric == "dmin":
+            gap = np.maximum(np.maximum(below, above), 0.0)
+            values = _row_sums(gap * gap)
+        elif metric == "dmax":
+            values = _row_sums(np.maximum(below_sq, above_sq))
+        elif metric == "dmm":
+            mid = (low_m + high_m) / 2.0
+            near_sq = np.where(query <= mid, below_sq, above_sq)
+            far_sq = np.where(query >= mid, below_sq, above_sq)
+            far_total = _row_sums(far_sq)
+            values = (far_total[:, None] - far_sq + near_sq).min(axis=1)
+        else:
+            raise ValueError(f"unknown distance metric: {metric!r}")
+        record_kernel_use(metric, "vector", low_m.shape[0])
+        results.append(values)
+    return results
+
+
+def batch_minimum_distance_sq(point, lows, highs) -> np.ndarray:
+    """Batch twin of :func:`repro.core.distances.minimum_distance_sq`."""
+    return batch_node_distances_sq(point, lows, highs, ("dmin",))[0]
 
 
 def batch_maximum_distance_sq(point, lows, highs) -> np.ndarray:
-    """Squared ``Dmax`` from *point* to each of *n* MBRs, all at once.
-
-    Exact batch twin of
-    :func:`repro.core.distances.maximum_distance_sq`.
-    """
-    query, low_m, high_m = _as_matrices(point, lows, highs)
-    total = np.zeros(low_m.shape[0], dtype=np.float64)
-    for axis in range(low_m.shape[1]):
-        p = query[axis]
-        far = np.maximum(np.abs(p - low_m[:, axis]), np.abs(high_m[:, axis] - p))
-        total += far * far
-    record_kernel_use("dmax", "vector", low_m.shape[0])
-    return total
+    """Batch twin of :func:`repro.core.distances.maximum_distance_sq`."""
+    return batch_node_distances_sq(point, lows, highs, ("dmax",))[0]
 
 
 def batch_minmax_distance_sq(point, lows, highs) -> np.ndarray:
-    """Squared ``Dmm`` (MINMAXDIST) from *point* to each MBR, all at once.
-
-    Exact batch twin of
-    :func:`repro.core.distances.minmax_distance_sq`: the per-axis
-    near/far edge squared distances are materialized as ``(n, dims)``
-    columns, ``far_total`` is accumulated axis by axis in scalar order,
-    and the minimum over the per-axis guarantees is taken last (min is
-    order-insensitive, so ``numpy.min`` over the axis is safe).
-    """
-    query, low_m, high_m = _as_matrices(point, lows, highs)
-    n, dims = low_m.shape
-    near_sq = np.empty((n, dims), dtype=np.float64)
-    far_sq = np.empty((n, dims), dtype=np.float64)
-    far_total = np.zeros(n, dtype=np.float64)
-    for axis in range(dims):
-        p = query[axis]
-        lo = low_m[:, axis]
-        hi = high_m[:, axis]
-        mid = (lo + hi) / 2.0
-        near_edge = np.where(p <= mid, lo, hi)
-        far_edge = np.where(p >= mid, lo, hi)
-        near_gap = p - near_edge
-        far_gap = p - far_edge
-        near_sq[:, axis] = near_gap * near_gap
-        far_sq[:, axis] = far_gap * far_gap
-        far_total += far_sq[:, axis]
-    candidates = far_total[:, None] - far_sq + near_sq
-    record_kernel_use("dmm", "vector", n)
-    return candidates.min(axis=1)
+    """Batch twin of :func:`repro.core.distances.minmax_distance_sq`."""
+    return batch_node_distances_sq(point, lows, highs, ("dmm",))[0]
 
 
 def batch_point_distance_sq(point, points) -> np.ndarray:
@@ -227,9 +227,6 @@ def batch_point_distance_sq(point, points) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: {query.shape[0]} vs {matrix.shape[1]}"
         )
-    total = np.zeros(matrix.shape[0], dtype=np.float64)
-    for axis in range(matrix.shape[1]):
-        diff = query[axis] - matrix[:, axis]
-        total += diff * diff
+    diff = query - matrix
     record_kernel_use("pointdist", "vector", matrix.shape[0])
-    return total
+    return _row_sums(diff * diff)

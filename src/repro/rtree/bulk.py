@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.geometry.point import validate_point
 from repro.rtree.node import LeafEntry, Node
 from repro.rtree.tree import RStarTree
 
@@ -75,6 +76,10 @@ def str_bulk_load(
         node created, letting a disk-placement layer see bulk-built pages.
     :returns: a fully functional :class:`RStarTree` (dynamic operations
         keep working on it afterwards).
+    :raises ValueError: for any point :meth:`RStarTree.insert` would
+        refuse (wrong dimensionality, non-finite, or beyond
+        :func:`~repro.geometry.point.coordinate_bound`), before any node
+        is built.
     """
     if not 0.0 < fill_factor <= 1.0:
         raise ValueError(f"fill_factor must be in (0, 1], got {fill_factor}")
@@ -84,7 +89,11 @@ def str_bulk_load(
     capacity = max(2, int(tree.max_entries * fill_factor))
 
     # Pack the leaf level.
-    leaf_entries = [LeafEntry(point, oid) for point, oid in points]
+    bound = tree.coordinate_bound
+    leaf_entries = [
+        LeafEntry(validate_point(point, dims, bound), oid)
+        for point, oid in points
+    ]
     groups = _tile(leaf_entries, dims, 0, capacity, key=lambda e: e.point)
     level_nodes: List[Node] = []
     for group in groups:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.geometry.point import validate_point
 from repro.rtree.bulk import _even_chunks
 from repro.rtree.node import LeafEntry, Node
 from repro.rtree.tree import RStarTree
@@ -115,7 +116,8 @@ def hilbert_bulk_load(
     leaves left to right, then build each upper level by Hilbert value
     of the node centers.  Same parameters and guarantees as
     :func:`repro.rtree.bulk.str_bulk_load` (every node meets the
-    minimum fill, dynamic operations work afterwards).
+    minimum fill, dynamic operations work afterwards, out-of-range
+    points are refused up front).
     """
     if not 0.0 < fill_factor <= 1.0:
         raise ValueError(f"fill_factor must be in (0, 1], got {fill_factor}")
@@ -124,7 +126,11 @@ def hilbert_bulk_load(
         return tree
     capacity = max(2, int(tree.max_entries * fill_factor))
 
-    entries = [LeafEntry(point, oid) for point, oid in points]
+    bound = tree.coordinate_bound
+    entries = [
+        LeafEntry(validate_point(point, dims, bound), oid)
+        for point, oid in points
+    ]
     entries.sort(key=lambda e: hilbert_sort_key(e.point, order))
 
     import math

@@ -88,7 +88,8 @@ class RStarTree:
             raise ValueError(
                 f"reinsert_fraction must be in (0, 1), got {reinsert_fraction}"
             )
-        #: Largest coordinate magnitude :meth:`insert` accepts.
+        #: Largest coordinate magnitude :meth:`insert` and the bulk
+        #: loaders accept.
         self.coordinate_bound = coordinate_bound(dims)
         self.split_policy = split_policy if split_policy is not None else RStarSplit()
         self.reinsert_fraction = reinsert_fraction
@@ -165,13 +166,7 @@ class RStarTree:
             non-finite coordinate, or a coordinate beyond
             :func:`~repro.geometry.point.coordinate_bound`.
         """
-        coords = validate_point(point, self.dims)
-        if max(map(abs, coords)) > self.coordinate_bound:
-            raise ValueError(
-                f"point coordinates exceed the supported range "
-                f"±{self.coordinate_bound:.6g} for {self.dims}-d points: "
-                f"{coords}"
-            )
+        coords = validate_point(point, self.dims, self.coordinate_bound)
         entry = LeafEntry(coords, oid)
         self._reinserted_levels = set()
         self._insert(entry, holder_level=0)

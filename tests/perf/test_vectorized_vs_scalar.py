@@ -17,8 +17,9 @@ from repro.core.distances import (
 )
 from repro.core.protocol import ChildRef
 from repro.core.regions import batch_region_distances
+from repro.core.scan import scan_children
 from repro.core.threshold import threshold_distance_sq
-from repro.geometry.point import squared_euclidean
+from repro.geometry.point import coordinate_bound, squared_euclidean
 from repro.geometry.rect import Rect
 from repro.obs.metrics import MetricsRegistry
 from repro.perf import kernels
@@ -121,6 +122,151 @@ def test_query_on_mbr_faces(dims):
             assert got == expected, batch_fn.__name__
         # On the boundary of (or inside) the MBR: Dmin is exactly zero.
         assert kernels.batch_minimum_distance_sq(query, lows, highs)[0] == 0.0
+
+
+# -- bit patterns of the fused node scan ------------------------------------
+
+METRICS = ("dmin", "dmm", "dmax")
+SCALAR = {
+    "dmin": minimum_distance_sq,
+    "dmm": minmax_distance_sq,
+    "dmax": maximum_distance_sq,
+}
+SINGLE = {
+    "dmin": kernels.batch_minimum_distance_sq,
+    "dmm": kernels.batch_minmax_distance_sq,
+    "dmax": kernels.batch_maximum_distance_sq,
+}
+
+
+def bits(values):
+    """IEEE-754 bit patterns, so ``-0.0`` and ``0.0`` differ too."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def assert_bit_identical(query, lows, highs):
+    """Fused scan, single-metric kernels and point kernel vs the oracle."""
+    rects = as_rects(lows, highs)
+    expected = {
+        m: bits([SCALAR[m](query, rect) for rect in rects]) for m in METRICS
+    }
+    fused = kernels.batch_node_distances_sq(query, lows, highs, METRICS)
+    for metric, values in zip(METRICS, fused):
+        assert bits(values) == expected[metric], metric
+        assert bits(SINGLE[metric](query, lows, highs)) == expected[metric]
+    # Any subset, in any order, gives the same arrays.
+    for metric, values in zip(
+        ("dmax", "dmin"),
+        kernels.batch_node_distances_sq(query, lows, highs, ("dmax", "dmin")),
+    ):
+        assert bits(values) == expected[metric], metric
+    points = lows.tolist()
+    assert bits(kernels.batch_point_distance_sq(query, lows)) == bits(
+        [squared_euclidean(query, tuple(p)) for p in points]
+    )
+
+
+def spread_mbrs(dims, n, seed, scale=1.0):
+    """MBRs whose coordinates span many binades, so sums round often."""
+    rng = np.random.default_rng(seed)
+    magnitude = 10.0 ** rng.uniform(-3.0, 0.0, (n, dims))
+    lows = rng.uniform(-1.0, 1.0, (n, dims)) * magnitude * scale
+    highs = lows + rng.uniform(0.0, 1.0, (n, dims)) * magnitude * scale
+    return lows, highs
+
+
+@pytest.mark.parametrize("dims", range(1, 21))
+def test_fused_scan_bit_identical(dims):
+    """dims 1-20: past 8 a pairwise ``numpy.sum`` changes its grouping."""
+    lows, highs = spread_mbrs(dims, 96, seed=dims)
+    rng = np.random.default_rng(1200 + dims)
+    mids = (lows + highs) / 2.0
+    queries = [rng.uniform(-1.0, 1.0, dims) * 10.0 ** rng.uniform(-3, 0)
+               for _ in range(4)]
+    # Exactly on a face or a mid-plane of an MBR, axis by axis: every
+    # ``p < lo`` / ``p > hi`` / ``p <= mid`` / ``p >= mid`` at equality.
+    for row in (0, 5):
+        corners = np.stack([lows[row], highs[row], mids[row]])
+        picks = rng.integers(0, 3, dims)
+        queries.append(corners[picks, np.arange(dims)])
+        queries.append(mids[row])
+    for query in queries:
+        assert_bit_identical(tuple(query.tolist()), lows, highs)
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3, 8, 9, 20])
+def test_single_row_and_point_mbrs_bit_identical(dims):
+    lows, highs = spread_mbrs(dims, 12, seed=1300 + dims)
+    query = tuple(np.random.default_rng(dims).uniform(-1, 1, dims).tolist())
+    for row in range(3):
+        assert_bit_identical(query, lows[row:row + 1], highs[row:row + 1])
+    # Degenerate (point) MBRs, alone and as a whole node.
+    assert_bit_identical(query, lows[:1], lows[:1].copy())
+    assert_bit_identical(query, lows, lows.copy())
+    assert_bit_identical(tuple(lows[4].tolist()), lows, lows.copy())
+
+
+@pytest.mark.parametrize("dims", [1, 2, 5, 13])
+def test_signed_zeros_bit_identical(dims):
+    rng = np.random.default_rng(1400 + dims)
+    choices = np.array([-0.0, 0.0, -1.0, 1.0])
+    lows = choices[rng.integers(0, 4, (40, dims))]
+    highs = np.maximum(lows, choices[rng.integers(0, 4, (40, dims))])
+    for query in (
+        (-0.0,) * dims,
+        (0.0,) * dims,
+        tuple(choices[rng.integers(0, 4, dims)].tolist()),
+    ):
+        assert_bit_identical(query, lows, highs)
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3, 5, 8, 16, 20])
+def test_magnitudes_up_to_the_coordinate_bound(dims):
+    """The largest coordinates an index accepts stay finite and exact."""
+    bound = coordinate_bound(dims)
+    rng = np.random.default_rng(1500 + dims)
+    lows = rng.uniform(-bound, bound, (50, dims))
+    highs = np.minimum(lows + rng.uniform(0, bound, (50, dims)), bound)
+    lows[0], highs[0] = -bound, bound
+    queries = [(bound,) * dims, (-bound,) * dims,
+               tuple(rng.uniform(-bound, bound, dims).tolist())]
+    for query in queries:
+        assert_bit_identical(query, lows, highs)
+        for values in kernels.batch_node_distances_sq(
+            query, lows, highs, METRICS
+        ):
+            assert np.isfinite(values).all()
+
+
+class _StubNode:
+    """An internal node reduced to what ``scan_children`` reads."""
+
+    def __init__(self, lows, highs):
+        self._bounds = (lows, highs)
+        self._refs = [
+            ChildRef(rect, 1 + i, i)
+            for i, rect in enumerate(as_rects(lows, highs))
+        ]
+
+    def child_refs(self):
+        return self._refs
+
+    def entry_bounds(self):
+        return self._bounds
+
+
+@pytest.mark.parametrize("dims", [1, 4, 9, 17])
+def test_scan_children_bit_identical_to_scalar_path(dims):
+    lows, highs = spread_mbrs(dims, 23, seed=1600 + dims)
+    node = _StubNode(lows, highs)
+    query = tuple(((lows[3] + highs[3]) / 2.0).tolist())
+    with kernels.use_vectorized(True):
+        fused = scan_children(query, node, want_dmm=True, want_dmax=True)
+    with kernels.use_vectorized(False):
+        scalar = scan_children(query, node, want_dmm=True, want_dmax=True)
+    for field in ("dmin_sq", "dmm_sq", "dmax_sq"):
+        assert bits(getattr(fused, field)) == bits(getattr(scalar, field))
+    assert fused.counts.tolist() == [ref.count for ref in node.child_refs()]
 
 
 @pytest.mark.parametrize("dims", [2, 10])
